@@ -18,21 +18,35 @@ use std::sync::Arc;
 const BITMAP_MASK: u64 = (1 << OBJS_PER_CHUNK) - 1;
 
 /// Volatile per-class state: reservation masks for handed-out-but-not-yet-
-/// committed objects, plus a cache of chunks known to have free slots. A
-/// crash drops both — reservations are what make the allocation protocol
-/// leak-free, and the free-chunk cache is rebuilt from the persistent
-/// bitmaps on open.
+/// committed objects, a cache of chunks known to have free slots, and a
+/// predecessor index of the class's chunk list. A crash drops all three —
+/// reservations are what make the allocation protocol leak-free, and the
+/// free-chunk cache and the index are rebuilt from the persistent list on
+/// open.
 ///
 /// The cache keeps `EPMalloc` O(1): without it, Algorithm 2's list walk
 /// degenerates to O(#chunks) per allocation once retired slots accumulate
-/// in old chunks (e.g. during the paper's update phases).
+/// in old chunks (e.g. during the paper's update phases). The index does
+/// the same for `EPRecycle`, whose predecessor search would otherwise walk
+/// the list from the head on every unlink (DESIGN.md §7.7).
 #[derive(Default)]
 struct ClassState {
     reserved: HashMap<u64, u64>,
     free_hints: BTreeSet<u64>,
+    /// Every linked chunk → the chunk before it in the PM list, or `0`
+    /// (`PmPtr::NULL`) for the head. Its length is the list length.
+    preds: HashMap<u64, u64>,
 }
 
 impl ClassState {
+    /// Index a chunk just linked at the head in front of `old_head`.
+    fn link_head(&mut self, chunk: PmPtr, old_head: PmPtr) {
+        self.preds.insert(chunk.offset(), 0);
+        if !old_head.is_null() {
+            self.preds.insert(old_head.offset(), chunk.offset());
+        }
+    }
+
     /// Reserve a free slot in `chunk` if one exists, maintaining the
     /// free-chunk cache. Returns the chosen object index.
     fn try_reserve(&mut self, hdr: ChunkHeader, chunk: PmPtr) -> Option<u64> {
@@ -92,17 +106,20 @@ impl EPallocator {
         EPallocator::build(pool, root)
     }
 
-    /// Open an existing pool: validate the root page, replay unfinished
-    /// micro-logs, scrub stale leaf slots, and recount live objects.
+    /// Open an existing pool: validate the root page, rebuild the volatile
+    /// per-class state from the chunk lists, replay unfinished micro-logs,
+    /// and scrub stale leaf slots.
     pub fn open(pool: Arc<PmemPool>) -> Result<EPallocator> {
         let root = Root::check(&pool)?;
         // Volatile free lists did not survive the "crash".
         pool.reset_volatile_alloc();
         let alloc = EPallocator::build(pool, root);
+        // First, because every later step may recycle a chunk, which needs
+        // the predecessor index; they keep the counts current themselves.
+        alloc.scan_chunk_lists();
         alloc.replay_rlogs();
         alloc.replay_ulogs();
         alloc.scrub_all_stale_leaves();
-        alloc.recount_live();
         Ok(alloc)
     }
 
@@ -178,10 +195,11 @@ impl EPallocator {
                         .pool
                         .alloc_raw(geo.chunk_bytes, geo.align)
                         .ok_or(Error::PmExhausted)?;
-                    let old_head = self.pool.read::<u64>(head_slot);
-                    geo.set_pnext(&self.pool, new_chunk, PmPtr(old_head));
+                    let old_head = PmPtr(self.pool.read::<u64>(head_slot));
+                    geo.set_pnext(&self.pool, new_chunk, old_head);
                     self.pool.write_u64_atomic(head_slot, new_chunk.offset());
                     self.pool.persist(head_slot, 8);
+                    st.link_head(new_chunk, old_head);
                     *st.reserved.entry(new_chunk.offset()).or_insert(0) |= 1;
                     st.free_hints.insert(new_chunk.offset());
                     geo.obj_ptr(new_chunk, 0)
@@ -309,35 +327,20 @@ impl EPallocator {
         if st.reserved.get(&chunk.offset()).copied().unwrap_or(0) != 0 {
             return false; // handed out but uncommitted
         }
+        // Line 8's predecessor search, answered by the index in O(1). A
+        // chunk the index lacks is not linked (already recycled, e.g. by a
+        // racing delete or a replay), so no recycle log is written for it.
+        let Some(&prev) = st.preds.get(&chunk.offset()) else {
+            return false;
+        };
+        let prev = PmPtr(prev);
         st.free_hints.remove(&chunk.offset());
         let rlog = RlogGuard::new(&self.pool, self.root, &self.rlog_slots);
         rlog.record_current(chunk, class); // line 4
-        let head_slot = self.root.head_ptr(class.idx());
-        let head = PmPtr(self.pool.read::<u64>(head_slot));
-        if head == chunk {
-            // Lines 5–6: unlink at the head.
-            let next = geo.read_pnext(&self.pool, chunk);
-            self.pool.write_u64_atomic(head_slot, next.offset());
-            self.pool.persist(head_slot, 8);
-        } else {
-            // Lines 8–10: find the predecessor and splice it out.
-            let mut prev = head;
-            loop {
-                if prev.is_null() {
-                    // Not in the list (already recycled by a replay).
-                    rlog.finish();
-                    return false;
-                }
-                let next = geo.read_pnext(&self.pool, prev);
-                if next == chunk {
-                    break;
-                }
-                prev = next;
-            }
-            rlog.record_prev(prev);
-            let next = geo.read_pnext(&self.pool, chunk);
-            geo.set_pnext(&self.pool, prev, next);
+        if !prev.is_null() {
+            rlog.record_prev(prev); // lines 8–10 log PPrev before the splice
         }
+        self.unlink(&mut st, chunk, class, prev);
         // Line 11: pfree (zeroes + persists the chunk).
         self.pool.free_raw(chunk, geo.chunk_bytes, geo.align);
         // Line 12: LogReclaim.
@@ -345,6 +348,25 @@ impl EPallocator {
         drop(st);
         self.obs.add(hart_obs::Event::RecycleChunk, 1);
         true
+    }
+
+    /// Unlink `chunk`, whose predecessor is `prev` (`NULL`: the head),
+    /// from `class`'s persistent list and from the index (Algorithm 6
+    /// lines 5–6 at the head, 8–10 elsewhere).
+    fn unlink(&self, st: &mut ClassState, chunk: PmPtr, class: ObjClass, prev: PmPtr) {
+        let geo = class.geometry();
+        let next = geo.read_pnext(&self.pool, chunk);
+        if prev.is_null() {
+            let head_slot = self.root.head_ptr(class.idx());
+            self.pool.write_u64_atomic(head_slot, next.offset());
+            self.pool.persist(head_slot, 8);
+        } else {
+            geo.set_pnext(&self.pool, prev, next);
+        }
+        st.preds.remove(&chunk.offset());
+        if !next.is_null() {
+            st.preds.insert(next.offset(), prev.offset());
+        }
     }
 
     // ------------------------------------------------------------ micro-logs
@@ -387,16 +409,58 @@ impl EPallocator {
         self.live[class.idx()].load(Ordering::Relaxed)
     }
 
-    /// Aggregate statistics.
+    /// Aggregate statistics. Chunk counts come from the predecessor index,
+    /// read under each class lock — no PM access.
     pub fn stats(&self) -> AllocStats {
         let mut s = AllocStats::default();
         for class in ObjClass::ALL {
             s.live[class.idx()] = self.live_count(class);
-            let mut n = 0;
-            self.for_each_chunk(class, |_, _| n += 1);
-            s.chunks[class.idx()] = n;
+            s.chunks[class.idx()] = self.classes[class.idx()].lock().preds.len();
         }
         s
+    }
+
+    /// Compare each class's predecessor index with its persisted chunk
+    /// list: same members, same predecessors, same count. Returns one
+    /// message per mismatch (empty = consistent). Part of
+    /// [`EPallocator::verify`]; like it, meaningful only while no writer
+    /// is active.
+    pub fn verify_chunk_index(&self) -> Vec<String> {
+        let mut errors = Vec::new();
+        for class in ObjClass::ALL {
+            let geo = class.geometry();
+            let st = self.classes[class.idx()].lock();
+            let mut prev = PmPtr::NULL;
+            let mut chunk = PmPtr(self.pool.read::<u64>(self.root.head_ptr(class.idx())));
+            let mut linked = 0usize;
+            while !chunk.is_null() {
+                linked += 1;
+                if linked > st.preds.len() {
+                    errors.push(format!(
+                        "{class:?}: list is longer than the index's {} chunks",
+                        st.preds.len()
+                    ));
+                    break;
+                }
+                match st.preds.get(&chunk.offset()) {
+                    None => errors.push(format!("{class:?}: linked chunk {chunk:?} not indexed")),
+                    Some(&p) if p != prev.offset() => errors.push(format!(
+                        "{class:?}: index has predecessor {:?} for chunk {chunk:?}, list has {prev:?}",
+                        PmPtr(p)
+                    )),
+                    Some(_) => {}
+                }
+                prev = chunk;
+                chunk = geo.read_pnext(&self.pool, chunk);
+            }
+            if linked < st.preds.len() {
+                errors.push(format!(
+                    "{class:?}: index holds {} chunks, list links {linked}",
+                    st.preds.len()
+                ));
+            }
+        }
+        errors
     }
 
     // ------------------------------------------------------------- recovery
@@ -475,25 +539,15 @@ impl EPallocator {
                 self.reset_rlog(base);
                 continue;
             }
-            // If the chunk is still linked, splice it out (the logged PPrev
-            // may be stale, so recompute the predecessor).
-            let head_slot = self.root.head_ptr(class.idx());
-            let head = PmPtr(self.pool.read::<u64>(head_slot));
-            if head == pcur {
-                let next = geo.read_pnext(&self.pool, pcur);
-                self.pool.write_u64_atomic(head_slot, next.offset());
-                self.pool.persist(head_slot, 8);
-            } else {
-                let mut prev = head;
-                while !prev.is_null() {
-                    let next = geo.read_pnext(&self.pool, prev);
-                    if next == pcur {
-                        geo.set_pnext(&self.pool, prev, geo.read_pnext(&self.pool, pcur));
-                        break;
-                    }
-                    prev = next;
-                }
+            // If the chunk is still linked, splice it out. The logged PPrev
+            // may be stale, so the predecessor comes from the index, which
+            // was built from the persisted list.
+            let mut st = self.classes[class.idx()].lock();
+            if let Some(&prev) = st.preds.get(&pcur.offset()) {
+                self.unlink(&mut st, pcur, class, PmPtr(prev));
             }
+            st.free_hints.remove(&pcur.offset());
+            drop(st);
             // Resume from line 11: pfree. (A pre-crash pfree only fed the
             // volatile free list, which is gone — freeing again is the
             // recovery.)
@@ -539,6 +593,7 @@ impl EPallocator {
             let nhdr = ChunkHeader::load(&self.pool, nchunk);
             if !nhdr.is_set(nidx) {
                 nhdr.with_set(nidx).store(&self.pool, nchunk);
+                self.live[new_class.idx()].fetch_add(1, Ordering::Relaxed);
             }
             // Line 8: swing the leaf's value pointer.
             leaf_write_pvalue(&self.pool, pleaf, pnewv, meta.new_len as usize);
@@ -549,6 +604,11 @@ impl EPallocator {
             let ohdr = ChunkHeader::load(&self.pool, ochunk);
             if ohdr.is_set(oidx) {
                 ohdr.with_clear(oidx).store(&self.pool, ochunk);
+                self.classes[old_class.idx()]
+                    .lock()
+                    .free_hints
+                    .insert(ochunk.offset());
+                self.dec_live(old_class);
             }
             // Line 10: EPRecycle on the old value's chunk.
             self.recycle_chunk(ochunk, old_class);
@@ -562,18 +622,23 @@ impl EPallocator {
         self.pool.persist(base, ULOG_SIZE as usize);
     }
 
-    fn recount_live(&self) {
+    /// Open's one walk of every chunk list: rebuild the predecessor index,
+    /// the free-chunk cache and the live counts from the persistent list
+    /// and bitmaps. Replay and scrub then keep all three current.
+    fn scan_chunk_lists(&self) {
         for class in ObjClass::ALL {
             let mut n = 0u64;
-            let mut hints = BTreeSet::new();
+            let mut st = self.classes[class.idx()].lock();
+            let mut prev = PmPtr::NULL;
             self.for_each_chunk(class, |chunk, hdr| {
                 n += hdr.popcount() as u64;
                 if !hdr.is_full() {
-                    hints.insert(chunk.offset());
+                    st.free_hints.insert(chunk.offset());
                 }
+                st.preds.insert(chunk.offset(), prev.offset());
+                prev = chunk;
             });
             self.live[class.idx()].store(n, Ordering::Relaxed);
-            self.classes[class.idx()].lock().free_hints = hints;
         }
     }
 }
@@ -704,10 +769,39 @@ mod tests {
         }
         assert!(a.recycle_containing(all[OBJS_PER_CHUNK as usize], ObjClass::Value8));
         assert_eq!(a.stats().chunks[ObjClass::Value8.idx()], 2);
+        assert_eq!(a.verify_chunk_index(), Vec::<String>::new());
         // Others still reachable.
         let mut seen = 0;
         a.for_each_live(ObjClass::Value8, |_| seen += 1);
         assert_eq!(seen, OBJS_PER_CHUNK + 1);
+        // The tail chunk's predecessor is now the head: recycle it too.
+        for p in &all[..OBJS_PER_CHUNK as usize] {
+            a.retire(*p, ObjClass::Value8);
+        }
+        assert!(a.recycle_containing(all[0], ObjClass::Value8));
+        assert_eq!(a.stats().chunks[ObjClass::Value8.idx()], 1);
+        assert_eq!(a.verify_chunk_index(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn recycle_of_unlinked_chunk_writes_no_log() {
+        let a = fresh();
+        let mut objs = Vec::new();
+        for _ in 0..(OBJS_PER_CHUNK + 1) {
+            let p = a.alloc(ObjClass::Value8).unwrap();
+            a.commit(p, ObjClass::Value8);
+            objs.push(p);
+        }
+        for p in &objs[..OBJS_PER_CHUNK as usize] {
+            a.retire(*p, ObjClass::Value8);
+        }
+        assert!(a.recycle_containing(objs[0], ObjClass::Value8));
+        // A second recycle of the same (now unlinked) chunk is refused
+        // without touching PM.
+        let persists = a.pool().stats().snapshot().persist_calls;
+        assert!(!a.recycle_containing(objs[0], ObjClass::Value8));
+        assert_eq!(a.pool().stats().snapshot().persist_calls, persists);
+        assert_eq!(a.verify_chunk_index(), Vec::<String>::new());
     }
 
     #[test]
@@ -837,6 +931,7 @@ mod tests {
             1,
             "replay must unlink and free the logged chunk"
         );
+        assert_eq!(b.verify_chunk_index(), Vec::<String>::new());
         assert!(b.is_live(objs[OBJS_PER_CHUNK as usize], ObjClass::Value8));
     }
 

@@ -4,6 +4,8 @@
 //! every persistent structure the paper's design relies on:
 //!
 //! * chunk lists are acyclic, aligned and in-bounds;
+//! * the volatile predecessor index matches the persisted lists (same
+//!   chunks, same predecessors, same counts);
 //! * each chunk header is internally consistent (full indicator matches
 //!   the bitmap; the next-free hint points at a free slot);
 //! * every live leaf holds a valid key, and its `p_value` points at a
@@ -106,6 +108,7 @@ impl EPallocator {
             }
             rep.live[class.idx()] = live_objects[class.idx()].len() as u64;
         }
+        rep.errors.extend(self.verify_chunk_index());
 
         // Pass 2: leaf contents + value ownership.
         let mut value_owner: HashMap<u64, PmPtr> = HashMap::new();
@@ -279,6 +282,27 @@ mod tests {
         assert!(rep.errors.iter().any(|e| e.contains("two leaves")), "{rep}");
         // The abandoned value of leaf 2 is now leaked too.
         assert!(rep.errors.iter().any(|e| e.contains("leaked")), "{rep}");
+    }
+
+    #[test]
+    fn detects_index_out_of_step_with_list() {
+        let (pool, alloc) = setup();
+        // Two leaf chunks: head -> newer -> older.
+        let leaves: Vec<PmPtr> = (0..=OBJS_PER_CHUNK)
+            .map(|i| make_record(&pool, &alloc, &format!("k{i:03}"), i))
+            .collect();
+        assert!(alloc.verify().is_healthy());
+        // Cut the older chunk off the persisted list behind the index's back.
+        let geo = Geometry::of(ObjClass::Leaf);
+        let (newer, _) = geo.locate(leaves[OBJS_PER_CHUNK as usize]);
+        geo.set_pnext(&pool, newer, PmPtr::NULL);
+        let rep = alloc.verify();
+        assert!(
+            rep.errors
+                .iter()
+                .any(|e| e.contains("index holds 2 chunks, list links 1")),
+            "{rep}"
+        );
     }
 
     #[test]

@@ -31,6 +31,20 @@
 //! [`EPallocator::open`] replays unfinished logs following the paper's case
 //! analysis before any new operation runs.
 //!
+//! # Volatile indexes
+//!
+//! Two DRAM structures per class keep the paper's list walks off the hot
+//! path; a crash drops both and `open` rebuilds them from the persistent
+//! lists in one walk:
+//!
+//! * a **free-chunk cache** of chunks with free slots makes `EPMalloc`
+//!   O(1);
+//! * a **predecessor index** maps every linked chunk to the chunk before
+//!   it (or the head), so `EPRecycle` unlinks in O(1) instead of walking
+//!   from the head to find the predecessor. It also gives
+//!   [`EPallocator::stats`] its chunk counts without touching PM, and
+//!   [`EPallocator::verify`] checks it against the persisted lists.
+//!
 //! # Deviations from the paper (documented in DESIGN.md)
 //!
 //! * Deletion additionally zeroes the dead leaf's `p_value` (one extra

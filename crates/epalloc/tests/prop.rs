@@ -1,5 +1,6 @@
 //! Property-based tests for EPallocator: no double hand-outs, exact live
-//! accounting, chunk reclamation, and crash-at-any-point leak freedom.
+//! accounting, chunk reclamation, a predecessor index that always matches
+//! the persisted chunk lists, and crash-at-any-point leak freedom.
 
 use hart_epalloc::{EPallocator, ObjClass, OBJS_PER_CHUNK};
 use hart_pm::{PmPtr, PmemPool, PoolConfig};
@@ -14,7 +15,7 @@ enum Op {
     Commit(u8), // commit the i-th oldest reserved object (mod live)
     Abort(u8),
     Retire(u8),  // retire the i-th oldest committed object
-    Recycle(u8), // try recycling the chunk of a committed/retired object
+    Recycle(u8), // try recycling the chunk of a committed and a retired object
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -34,15 +35,28 @@ fn pool() -> Arc<PmemPool> {
     }))
 }
 
+fn crash_pool() -> Arc<PmemPool> {
+    Arc::new(PmemPool::new(PoolConfig {
+        alloc_overhead_ns: 0,
+        ..PoolConfig::test_crash()
+    }))
+}
+
+fn chunk_of(p: PmPtr, ci: usize) -> PmPtr {
+    ObjClass::from_idx(ci).geometry().locate(p).0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn alloc_state_machine(ops in vec(arb_op(), 1..300)) {
-        let alloc = EPallocator::create(pool());
-        // Model: reserved and committed object sets per class.
+        let pm = crash_pool();
+        let alloc = EPallocator::create(Arc::clone(&pm));
+        // Model: reserved, committed and retired object sets per class.
         let mut reserved: [Vec<PmPtr>; 3] = Default::default();
         let mut committed: [Vec<PmPtr>; 3] = Default::default();
+        let mut retired: [Vec<PmPtr>; 3] = Default::default();
 
         for op in ops {
             match op {
@@ -74,6 +88,7 @@ proptest! {
                     if !committed[ci].is_empty() {
                         let p = committed[ci].remove(sel as usize % committed[ci].len());
                         alloc.retire(p, ObjClass::from_idx(ci));
+                        retired[ci].push(p);
                     }
                 }
                 Op::Recycle(sel) => {
@@ -83,8 +98,23 @@ proptest! {
                         // Must refuse: the chunk holds a committed object.
                         prop_assert!(!alloc.recycle_containing(p, ObjClass::from_idx(ci)));
                     }
+                    if !retired[ci].is_empty() {
+                        let p = retired[ci][sel as usize % retired[ci].len()];
+                        let chunk = chunk_of(p, ci);
+                        let busy = reserved[ci].iter().chain(&committed[ci])
+                            .any(|&q| chunk_of(q, ci) == chunk);
+                        let recycled = alloc.recycle_containing(p, ObjClass::from_idx(ci));
+                        // Reclaimed exactly when nothing in the chunk is
+                        // outstanding (the chunk may sit anywhere in the list).
+                        prop_assert_eq!(recycled, !busy);
+                        if recycled {
+                            retired[ci].retain(|&q| chunk_of(q, ci) != chunk);
+                        }
+                    }
                 }
             }
+            let errors = alloc.verify_chunk_index();
+            prop_assert!(errors.is_empty(), "after {:?}: {:?}", op, errors);
             // Live accounting matches the model exactly.
             for (ci, objs) in committed.iter().enumerate() {
                 prop_assert_eq!(
@@ -102,6 +132,27 @@ proptest! {
             let expect: BTreeSet<PmPtr> = objs.iter().copied().collect();
             prop_assert_eq!(listed, expect);
         }
+        // A crash drops the index and reservations; open rebuilds the index
+        // from the persisted lists, and recycles through it keep it in step.
+        let chunks = alloc.stats().chunks;
+        drop(alloc);
+        pm.simulate_crash();
+        let re = EPallocator::open(pm).unwrap();
+        let errors = re.verify_chunk_index();
+        prop_assert!(errors.is_empty(), "after open: {:?}", errors);
+        prop_assert_eq!(re.stats().chunks, chunks);
+        for (ci, objs) in committed.iter().enumerate() {
+            let class = ObjClass::from_idx(ci);
+            prop_assert_eq!(re.live_count(class), objs.len() as u64);
+            for &p in objs {
+                re.retire(p, class);
+            }
+            for &p in objs {
+                re.recycle_containing(p, class);
+            }
+        }
+        let errors = re.verify_chunk_index();
+        prop_assert!(errors.is_empty(), "after draining: {:?}", errors);
     }
 
     #[test]

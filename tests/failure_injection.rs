@@ -210,6 +210,100 @@ fn delete_crashes_at_every_persist_point() {
     }
 }
 
+/// Keys deleted before the delete that empties the oldest leaf and value
+/// chunks. Inserted oldest-first, those chunks sit at the list tails, so
+/// the recycles that delete triggers are non-head unlinks (Algorithm 6
+/// lines 8–10: the recycle log's `PPrev` and the predecessor splice).
+const FIRST_RECYCLE_AT: u64 = hart_suite::epalloc::OBJS_PER_CHUNK - 1;
+
+/// Build `n` keys, then delete keys `0..FIRST_RECYCLE_AT` oldest-first.
+fn tail_recycle_setup(n: u64) -> (Arc<PmemPool>, Hart) {
+    let pool = crash_pool(16 << 20);
+    let h = Hart::create(Arc::clone(&pool), HartConfig::default()).unwrap();
+    for i in 0..n {
+        h.insert(&k(i), &Value::from_u64(i)).unwrap();
+    }
+    for i in 0..FIRST_RECYCLE_AT {
+        assert!(h.remove(&k(i)).unwrap());
+    }
+    (pool, h)
+}
+
+#[test]
+fn mid_list_recycle_crashes_at_every_persist_point() {
+    // Over three 56-slot chunks per class.
+    const N: u64 = 200;
+    // Persists of the delete whose two recycles unlink mid-list chunks.
+    let window = {
+        let (pool, h) = tail_recycle_setup(N);
+        let chunks = h.alloc_stats().chunks;
+        let before = pool.stats().snapshot().persist_calls;
+        assert!(h.remove(&k(FIRST_RECYCLE_AT)).unwrap());
+        let after = h.alloc_stats().chunks;
+        assert_eq!(
+            after[0] + 1,
+            chunks[0],
+            "the delete must recycle a leaf chunk"
+        );
+        assert_eq!(
+            after[1] + 1,
+            chunks[1],
+            "the delete must recycle a value chunk"
+        );
+        pool.stats().snapshot().persist_calls - before
+    };
+    assert!(window >= 10, "two recycles fit in {window} persists");
+    for fuse in 0..=window {
+        let (pool, h) = tail_recycle_setup(N);
+        pool.arm_persist_fuse(fuse);
+        for i in FIRST_RECYCLE_AT..FIRST_RECYCLE_AT + 3 {
+            assert!(h.remove(&k(i)).unwrap());
+        }
+        drop(h);
+        pool.simulate_crash();
+
+        let r = Hart::recover(Arc::clone(&pool), HartConfig::default()).unwrap();
+        let mut gone = 0;
+        let mut seen_survivor = false;
+        for i in 0..N {
+            match r.search(&k(i)).unwrap() {
+                None => {
+                    assert!(
+                        !seen_survivor,
+                        "fuse={fuse}: key {i} deleted after an undeleted key"
+                    );
+                    gone += 1;
+                }
+                Some(v) => {
+                    assert_eq!(v.as_u64(), i);
+                    seen_survivor = true;
+                }
+            }
+        }
+        assert!(
+            gone >= FIRST_RECYCLE_AT,
+            "fuse={fuse}: lost a durable delete"
+        );
+        assert_eq!(r.len() as u64, N - gone, "fuse={fuse}");
+        assert_no_leaks(&r);
+        let rep = r.epallocator().verify();
+        assert!(rep.is_healthy(), "fuse={fuse}: {rep}");
+
+        // The recovered allocator (and its rebuilt predecessor index) keeps
+        // working: a fresh batch goes in, then everything comes out.
+        for i in N..N + 100 {
+            r.insert(&k(i), &Value::from_u64(i)).unwrap();
+        }
+        for i in gone..N + 100 {
+            assert!(r.remove(&k(i)).unwrap(), "fuse={fuse}: key {i}");
+        }
+        assert_eq!(r.len(), 0, "fuse={fuse}");
+        assert_no_leaks(&r);
+        let rep = r.epallocator().verify();
+        assert!(rep.is_healthy(), "fuse={fuse}: {rep}");
+    }
+}
+
 #[test]
 fn mixed_ops_crash_then_recover_consistently() {
     // A denser mixed history with the fuse landing wherever it lands; the
