@@ -104,32 +104,6 @@ pub fn find_key16_scalar(keys: &[u8; 16], count: usize, b: u8) -> Option<usize> 
     keys[..count.min(16)].iter().position(|&k| k == b)
 }
 
-/// Bitmask of the positions in `bytes` that equal `b`: bit `i` is set iff
-/// `bytes[i] == b`. `bytes` must be at most 64 long (callers scanning a
-/// longer array — the directory's packed per-bucket fingerprint arrays —
-/// chunk it). Unlike [`find_key16`] this reports *every* match: a
-/// fingerprint hit still needs a full key compare, and several entries in
-/// one bucket may share a fingerprint byte.
-#[inline]
-pub fn match_byte64(bytes: &[u8], b: u8) -> u64 {
-    debug_assert!(bytes.len() <= 64);
-    if vector_enabled() {
-        vector::match_byte64(bytes, b)
-    } else {
-        match_byte64_scalar(bytes, b)
-    }
-}
-
-/// Portable reference implementation of [`match_byte64`].
-#[inline]
-pub fn match_byte64_scalar(bytes: &[u8], b: u8) -> u64 {
-    let mut mask = 0u64;
-    for (i, &x) in bytes.iter().take(64).enumerate() {
-        mask |= ((x == b) as u64) << i;
-    }
-    mask
-}
-
 /// Smallest edge byte `≥ from` whose NODE48 index entry is present
 /// (`!= 0xFF`). `from` may be up to 256 (exclusive upper bound), which
 /// makes `next_edge48(ix, b + 1)` a natural iteration step.
@@ -177,27 +151,6 @@ mod vector {
         } else {
             (1u32 << count) - 1
         }
-    }
-
-    #[inline]
-    pub fn match_byte64(bytes: &[u8], b: u8) -> u64 {
-        let mut mask = 0u64;
-        let mut i = 0usize;
-        while i + 16 <= bytes.len() {
-            // SAFETY: `i + 16 <= bytes.len()`, so the unaligned load reads
-            // 16 in-bounds bytes; SSE2 is part of the x86_64 baseline.
-            let m = unsafe {
-                let v = _mm_loadu_si128(bytes.as_ptr().add(i) as *const __m128i);
-                let eq = _mm_cmpeq_epi8(v, _mm_set1_epi8(b as i8));
-                _mm_movemask_epi8(eq) as u32 as u64
-            };
-            mask |= m << i;
-            i += 16;
-        }
-        for (j, &x) in bytes[i..].iter().enumerate() {
-            mask |= ((x == b) as u64) << (i + j);
-        }
-        mask
     }
 
     #[inline]
@@ -266,32 +219,6 @@ mod vector {
     }
 
     #[inline]
-    pub fn match_byte64(bytes: &[u8], b: u8) -> u64 {
-        let mut mask = 0u64;
-        let mut i = 0usize;
-        while i + 16 <= bytes.len() {
-            // SAFETY: `i + 16 <= bytes.len()`, so the load reads 16
-            // in-bounds bytes; NEON is part of the aarch64 baseline.
-            let nib = unsafe {
-                let v = vld1q_u8(bytes.as_ptr().add(i));
-                nibble_mask(vceqq_u8(v, vdupq_n_u8(b)))
-            };
-            // Compress nibble-per-lane to bit-per-lane: keep each lane's
-            // low nibble bit, then walk the (sparse) set bits.
-            let mut nib = nib & 0x1111_1111_1111_1111;
-            while nib != 0 {
-                mask |= 1u64 << (i + (nib.trailing_zeros() / 4) as usize);
-                nib &= nib - 1;
-            }
-            i += 16;
-        }
-        for (j, &x) in bytes[i..].iter().enumerate() {
-            mask |= ((x == b) as u64) << (i + j);
-        }
-        mask
-    }
-
-    #[inline]
     pub fn next_edge48(index: &[u8; 256], from: usize) -> Option<u8> {
         if from >= 256 {
             return None;
@@ -326,11 +253,6 @@ mod vector {
     #[inline]
     pub fn find_key16(keys: &[u8; 16], count: usize, b: u8) -> Option<usize> {
         super::find_key16_scalar(keys, count, b)
-    }
-
-    #[inline]
-    pub fn match_byte64(bytes: &[u8], b: u8) -> u64 {
-        super::match_byte64_scalar(bytes, b)
     }
 
     #[inline]
@@ -404,58 +326,6 @@ mod tests {
         keys[15] = 9;
         assert_eq!(find_key16(&keys, usize::MAX, 9), Some(15));
         assert_eq!(find_key16_scalar(&keys, usize::MAX, 9), Some(15));
-    }
-
-    /// Exhaustive fingerprint-scan equivalence: every length (0..=64) ×
-    /// every probe byte × assorted fill patterns must produce bit-identical
-    /// match masks on the vector and scalar paths — including lengths that
-    /// leave a sub-16-byte tail for the vector chunk loop.
-    #[test]
-    fn match_byte64_vector_matches_scalar_exhaustively() {
-        let mut state = 0xD15_7A6u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for len in 0..=64usize {
-            let mut patterns: Vec<Vec<u8>> = vec![
-                vec![0u8; len],
-                vec![0xFF; len],
-                (0..len).map(|i| i as u8).collect(),
-                (0..len).map(|i| (i % 3) as u8).collect(),
-            ];
-            patterns.push((0..len).map(|_| (next() % 256) as u8).collect());
-            for bytes in &patterns {
-                for b in 0..=255u8 {
-                    assert_eq!(
-                        vector::match_byte64(bytes, b),
-                        match_byte64_scalar(bytes, b),
-                        "len {len} byte {b:#04x} bytes {bytes:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The mask reports every match position, not just the first — the
-    /// property the fingerprint probe relies on to visit all candidates.
-    #[test]
-    fn match_byte64_reports_all_positions() {
-        let mut bytes = [0u8; 64];
-        for i in [0usize, 15, 16, 17, 31, 32, 63] {
-            bytes[i] = 7;
-        }
-        let expect = [0usize, 15, 16, 17, 31, 32, 63]
-            .iter()
-            .fold(0u64, |m, &i| m | 1 << i);
-        assert_eq!(match_byte64(&bytes, 7), expect);
-        assert_eq!(match_byte64_scalar(&bytes, 7), expect);
-        assert_eq!(match_byte64(&[], 7), 0);
-        assert_eq!(match_byte64(&bytes[..0], 0), 0);
-        // All-match saturates every bit of the mask.
-        assert_eq!(match_byte64(&[9u8; 64], 9), u64::MAX);
     }
 
     /// Satellite: exhaustive NODE48 equivalence — every occupancy level

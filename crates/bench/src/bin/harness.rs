@@ -366,34 +366,28 @@ fn readpath(a: &Args) {
 fn rehash(a: &Args) {
     let lat = LatencyConfig::c300_100();
     let mut rep = Report::new(
-        "rehash: search MIOPS, fixed vs resizing directory, fingerprint probes vs full-key kill-switch (k_h=3, Random @ 300/100, 1 thread, best of 3 passes)",
+        "rehash: search MIOPS, fixed vs resizing directory (k_h=3, Random @ 300/100, 1 thread, best of 3 passes)",
         &[
             "records",
             "fixed-4096",
             "resizing",
             "speedup",
-            "fixed-fullkey",
-            "fixed-fp-speedup",
-            "rz-fullkey",
-            "rz-fp-speedup",
             "buckets",
             "grows",
         ],
     );
-    let kh3 = |threshold, full_key_probes| hart::HartConfig {
+    let kh3 = |threshold| hart::HartConfig {
         hash_key_len: 3,
         resize_threshold: threshold,
-        full_key_probes,
         ..hart::HartConfig::default()
     };
     // Preload once per config, then time three search passes over a
     // fixed query subsample (uniform stride over the uniform-random key
-    // set, capped at 200 k queries so the slowest configuration — full-key
-    // probes over an undersized directory's multi-thousand-entry stash
-    // chains — stays measurable) and keep the fastest pass: back-to-back
-    // passes over an identical tree differ only by scheduler/cache
-    // interference, so best-of suppresses host noise without favoring any
-    // configuration.
+    // set, capped at 200 k queries so the fixed directory's long chains
+    // stay quick to measure at 10 M keys) and keep the fastest pass:
+    // back-to-back passes over an identical tree differ only by
+    // scheduler/cache interference, so best-of suppresses host noise
+    // without favoring either configuration.
     use hart_kv::PersistentIndex;
     let run = |cfg: hart::HartConfig, keys: &[hart_kv::Key], queries: &[&hart_kv::Key]| {
         let pool = std::sync::Arc::new(hart_pm::PmemPool::new(bench::pool_config(lat, keys.len())));
@@ -415,27 +409,16 @@ fn rehash(a: &Args) {
     for &n in &a.scale {
         let keys = hart_workloads::random(n, a.seed);
         let queries: Vec<&hart_kv::Key> = keys.iter().step_by((n / 200_000).max(1)).collect();
-        let (fixed, _, _) = run(kh3(0, false), &keys, &queries);
-        let (resizing, buckets, grows) = run(kh3(1, false), &keys, &queries);
-        // The `full_key_probes` kill-switch ablation, once per directory
-        // regime: the fixed directory (long stash chains — the scans the
-        // fingerprint filter exists for) and the resizing one (short
-        // post-growth chains, which skip the filter below FP_SCAN_MIN and
-        // should measure as a wash).
-        let (fixed_fk, _, _) = run(kh3(0, true), &keys, &queries);
-        let (rz_fk, _, _) = run(kh3(1, true), &keys, &queries);
+        let (fixed, _, _) = run(kh3(0), &keys, &queries);
+        let (resizing, buckets, grows) = run(kh3(1), &keys, &queries);
         eprintln!(
-            "[rehash] n={n}: fixed {fixed:.2}/{fixed_fk:.2} vs resizing {resizing:.2}/{rz_fk:.2} MIOPS (fp/fullkey; {buckets} buckets, {grows} grows)"
+            "[rehash] n={n}: fixed {fixed:.2} vs resizing {resizing:.2} MIOPS ({buckets} buckets, {grows} grows)"
         );
         rep.row(vec![
             n.to_string(),
             format!("{fixed:.3}"),
             format!("{resizing:.3}"),
             format!("{:.2}", resizing / fixed.max(f64::MIN_POSITIVE)),
-            format!("{fixed_fk:.3}"),
-            format!("{:.2}", fixed / fixed_fk.max(f64::MIN_POSITIVE)),
-            format!("{rz_fk:.3}"),
-            format!("{:.2}", resizing / rz_fk.max(f64::MIN_POSITIVE)),
             buckets.to_string(),
             grows.to_string(),
         ]);

@@ -48,15 +48,6 @@ pub struct HartConfig {
     /// clock is ever read — and snapshots come back zero-valued with
     /// `enabled: false`.
     pub observability: bool,
-    /// Kill-switch for the directory's fingerprint probe filter. `false`
-    /// (default): every bucket probe scans the bucket's packed 1-byte
-    /// fingerprint array first (SIMD where available) and compares full
-    /// hash keys only at fingerprint matches. `true`: probes compare every
-    /// chained key in full, reproducing the pre-fingerprint probe cost
-    /// exactly. The bucket format (fingerprint arrays, stash region) is
-    /// identical either way — the flag selects only the probe strategy, so
-    /// equivalence is structural and proven by `tests/fingerprint.rs`.
-    pub full_key_probes: bool,
     /// Group-commit persistence (kill-switch for the server's batching
     /// layer). `false` (default): every write op fences its own persists —
     /// the paper's per-op `persistent()` accounting. `true`: a hosting
@@ -81,7 +72,6 @@ impl Default for HartConfig {
             optimistic_reads: true,
             optimistic_retry_limit: 8,
             observability: true,
-            full_key_probes: false,
             group_commit: false,
         }
     }
@@ -162,17 +152,6 @@ impl HartConfig {
         }
     }
 
-    /// Config with the fingerprint probe filter disabled (ablation /
-    /// kill-switch): directory probes compare every chained hash key in
-    /// full, as before the fingerprint extension. Storage format is
-    /// unchanged — only the probe strategy reverts.
-    pub fn with_full_key_probes() -> HartConfig {
-        HartConfig {
-            full_key_probes: true,
-            ..Default::default()
-        }
-    }
-
     /// Config opting in to group-commit persistence (the server's batched
     /// fence path). The default (`false`) is the per-op-persist
     /// kill-switch.
@@ -231,17 +210,6 @@ mod tests {
             ok.validate().is_ok(),
             "retry limit is irrelevant with locked reads"
         );
-    }
-
-    #[test]
-    fn kill_switch_disables_fingerprints() {
-        assert!(
-            !HartConfig::default().full_key_probes,
-            "fingerprint probes are the default"
-        );
-        let c = HartConfig::with_full_key_probes();
-        assert!(c.full_key_probes);
-        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -41,7 +41,6 @@ impl Hart {
             cfg.initial_buckets,
             cfg.resize_threshold,
             cfg.optimistic_reads,
-            cfg.full_key_probes,
         );
         dir.set_recorder(obs.clone());
         Ok(Hart {
@@ -65,7 +64,6 @@ impl Hart {
             cfg.initial_buckets,
             cfg.resize_threshold,
             cfg.optimistic_reads,
-            cfg.full_key_probes,
         );
         dir.set_recorder(obs.clone());
         let hart = Hart {
@@ -105,7 +103,6 @@ impl Hart {
             cfg.initial_buckets,
             cfg.resize_threshold,
             cfg.optimistic_reads,
-            cfg.full_key_probes,
         );
         dir.set_recorder(obs.clone());
         let hart = Hart {

@@ -69,21 +69,9 @@ pub enum Event {
     RecycleChunk,
     /// Micro-log slot acquisitions (out-of-place update protocol).
     UlogAcquire,
-    /// Directory probe fingerprint matches (candidate entries whose full
-    /// hash key was then compared).
-    DirFpHit,
-    /// Fingerprint matches whose full-key compare failed — the 1-byte
-    /// pre-filter's false positives (expected rate ≈ chain/256).
-    DirFpFalsePositive,
-    /// Probes that consulted a table's stash region (the home bucket's
-    /// overflow bit was set).
-    DirStashProbe,
-    /// Entries displaced into a stash region because their home bucket was
-    /// at capacity (inserts and migrations both count).
-    DirStashSpill,
 }
 
-pub(crate) const N_EVENTS: usize = 17;
+pub(crate) const N_EVENTS: usize = 13;
 
 struct ObsCore {
     ops: [AtomicHistogram; N_OPS],
@@ -312,10 +300,6 @@ impl Recorder {
         snap.dir.bucket_drains = ev(Event::DirDrain);
         snap.dir.migrations_finished = ev(Event::DirFinish);
         snap.dir.migration_ns_total = ev(Event::MigrationNs);
-        snap.dir.fp_hits = ev(Event::DirFpHit);
-        snap.dir.fp_false_positives = ev(Event::DirFpFalsePositive);
-        snap.dir.stash_probes = ev(Event::DirStashProbe);
-        snap.dir.stash_spills = ev(Event::DirStashSpill);
         snap.alloc.allocs = ev(Event::Alloc);
         snap.alloc.commits = ev(Event::Commit);
         snap.alloc.retires = ev(Event::Retire);

@@ -102,14 +102,15 @@ pub struct DirSection {
     pub migration_in_progress: bool,
     pub buckets: u64,
     pub shards: u64,
-    /// Probe fingerprint matches (each followed by a full key compare).
+    /// Retired with the directory's fingerprint filter and stash region:
+    /// always 0. The four keys stay because the JSON schema is
+    /// append-only (DESIGN.md §9).
     pub fp_hits: u64,
-    /// Fingerprint matches whose key compare failed (pre-filter false
-    /// positives).
+    /// Retired; always 0 (see `fp_hits`).
     pub fp_false_positives: u64,
-    /// Probes that consulted a stash region (overflow bit set).
+    /// Retired; always 0 (see `fp_hits`).
     pub stash_probes: u64,
-    /// Entries displaced into a stash region (home bucket at capacity).
+    /// Retired; always 0 (see `fp_hits`).
     pub stash_spills: u64,
 }
 

@@ -5,11 +5,9 @@
 //! Expected findings (under the dir.rs label):
 //! * `publish_unlocked` — atomic write to `current` with no resize lock.
 //! * `raw_door` — `inner` touched other than through its RwLock methods.
-//! * `stash_unprotected` — stash-bucket write lock without a still-held
-//!   home-bucket guard.
 //!
-//! Quiet by design: the same write under the lock, the waived write, the
-//! helper whose every caller holds the lock, and the guarded stash write.
+//! Quiet by design: the same write under the lock, the waived write and
+//! the helper whose every caller holds the lock.
 
 use std::sync::atomic::Ordering;
 
@@ -39,19 +37,5 @@ impl Dir {
 
     fn raw_door(&self) -> *const ShardInner {
         self.inner.data_ptr()
-    }
-
-    fn stash_unprotected(&self, t: &Table, idx: usize) {
-        let sb = t.stash_bucket(idx);
-        let mut sg = sb.table.write();
-        sg.slots[0] = 1;
-    }
-
-    fn stash_protected(&self, t: &Table, idx: usize) {
-        let hg = t.bucket(idx).table.write();
-        let sb = t.stash_bucket(idx);
-        let mut sg = sb.table.write();
-        sg.slots[0] = 1;
-        drop(hg);
     }
 }

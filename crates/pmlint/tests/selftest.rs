@@ -227,13 +227,13 @@ fn guarded_by_rule_fires() {
     let lines = rule_lines(&r.violations, "guarded-by");
     assert_eq!(
         lines.len(),
-        3,
-        "expected unlocked publish + raw door + unguarded stash write, got {:?}",
+        2,
+        "expected unlocked publish + raw door, got {:?}",
         r.violations
     );
     assert_eq!(
         r.violations.len(),
-        3,
+        2,
         "only guarded-by may fire: {:?}",
         r.violations
     );

@@ -205,44 +205,90 @@ fn growth_stress_with_concurrent_readers() {
     );
 }
 
-/// Kill-switch equivalence: `resize_threshold = 0` (the pre-resize fixed
-/// directory) and the aggressive resizing config must be observationally
-/// identical under the same deterministic op sequence — resizing is a
-/// performance feature, never a semantic one.
+/// Kill-switch equivalence: a fixed directory (`resize_threshold = 0`)
+/// and the aggressive resizing config must be observationally identical
+/// under the same deterministic op sequence — resizing is a performance
+/// feature, never a semantic one. Three fixed directories stand in: the
+/// default 4096-bucket one, and a 2-bucket one — 128 prefixes in two
+/// chains of about 64 hash keys each, so every probe walks a long chain —
+/// under both optimistic and locked reads (the resizing tree uses the
+/// same read path as its fixed twin).
 #[test]
 fn kill_switch_matches_resizing_directory() {
-    let fixed = build(HartConfig::with_fixed_directory());
-    let resizing = build(aggressive());
-    let mut rng = XorShift(0x5EED_CAFE);
-    for seq in 0..6_000 * stress_mult() {
-        let kid = rng.next() % N_KEYS;
-        let key = key_of(kid);
-        match rng.next() % 4 {
-            0 | 1 => {
-                let x = (kid << 32) | seq;
-                fixed.insert(&key, &value_of(x)).unwrap();
-                resizing.insert(&key, &value_of(x)).unwrap();
-            }
-            2 => {
-                assert_eq!(fixed.remove(&key).unwrap(), resizing.remove(&key).unwrap());
-            }
-            _ => {
-                assert_eq!(fixed.search(&key).unwrap(), resizing.search(&key).unwrap());
+    let two_buckets = HartConfig {
+        initial_buckets: 2,
+        resize_threshold: 0,
+        ..HartConfig::default()
+    };
+    let locked = |c: HartConfig| HartConfig {
+        optimistic_reads: false,
+        ..c
+    };
+    let cases = [
+        (HartConfig::with_fixed_directory(), aggressive()),
+        (two_buckets, aggressive()),
+        (locked(two_buckets), locked(aggressive())),
+    ];
+    for (fixed_cfg, resizing_cfg) in cases {
+        let case = format!(
+            "{} fixed buckets, optimistic reads {}",
+            fixed_cfg.initial_buckets, fixed_cfg.optimistic_reads
+        );
+        let fixed = build(fixed_cfg);
+        let resizing = build(resizing_cfg);
+        let mut rng = XorShift(0x5EED_CAFE);
+        for seq in 0..6_000 * stress_mult() {
+            let kid = rng.next() % N_KEYS;
+            let key = key_of(kid);
+            match rng.next() % 4 {
+                0 | 1 => {
+                    let x = (kid << 32) | seq;
+                    fixed.insert(&key, &value_of(x)).unwrap();
+                    resizing.insert(&key, &value_of(x)).unwrap();
+                }
+                2 => {
+                    assert_eq!(
+                        fixed.remove(&key).unwrap(),
+                        resizing.remove(&key).unwrap(),
+                        "{case}: remove #{seq}"
+                    );
+                }
+                _ => {
+                    assert_eq!(
+                        fixed.search(&key).unwrap(),
+                        resizing.search(&key).unwrap(),
+                        "{case}: search #{seq}"
+                    );
+                }
             }
         }
+        assert_eq!(fixed.hash_resize_count(), 0, "{case}");
+        assert_eq!(
+            fixed.hash_bucket_count(),
+            fixed_cfg.initial_buckets,
+            "{case}"
+        );
+        assert!(resizing.hash_resize_count() >= 3, "{case}");
+        assert_eq!(fixed.len(), resizing.len(), "{case}");
+        assert_eq!(fixed.art_count(), resizing.art_count(), "{case}");
+        for kid in 0..N_KEYS {
+            let key = key_of(kid);
+            assert_eq!(
+                fixed.search(&key).unwrap(),
+                resizing.search(&key).unwrap(),
+                "{case}: final readback of key {kid}"
+            );
+        }
+        let lo = key_of(0);
+        let hi = key_of(N_KEYS - 1);
+        assert_eq!(
+            fixed.ordered_range(&lo, &hi).unwrap(),
+            resizing.ordered_range(&lo, &hi).unwrap(),
+            "{case}"
+        );
+        fixed.check_consistency().unwrap();
+        resizing.check_consistency().unwrap();
     }
-    assert_eq!(fixed.hash_resize_count(), 0);
-    assert!(resizing.hash_resize_count() >= 3);
-    assert_eq!(fixed.len(), resizing.len());
-    assert_eq!(fixed.art_count(), resizing.art_count());
-    let lo = key_of(0);
-    let hi = key_of(N_KEYS - 1);
-    assert_eq!(
-        fixed.ordered_range(&lo, &hi).unwrap(),
-        resizing.ordered_range(&lo, &hi).unwrap()
-    );
-    fixed.check_consistency().unwrap();
-    resizing.check_consistency().unwrap();
 }
 
 /// Recovery rebuilds the directory through the same resizing machinery:
@@ -279,15 +325,14 @@ fn recovery_regrows_directory() {
     h.check_consistency().unwrap();
 }
 
-/// Stash-drain coverage: with a load threshold above the home-bucket cap,
-/// every table generation chains past the cap before the load trigger can
-/// fire, so inserts keep displacing entries into the stash region — and
-/// every doubling (driven by the chain trigger) must drain those
-/// displaced entries along with their home buckets. Verified from the
-/// outside: nothing is ever lost, and the probe counters prove the stash
-/// actually participated.
+/// Chain-trigger coverage: with a load threshold of 20 entries per
+/// bucket, every table generation chains past `CHAIN_LIMIT` before the
+/// load trigger can fire, so the doublings are driven by the chain
+/// trigger — and each must drain the long home chains without losing a
+/// key. Probes run against the key just inserted and an older one, so
+/// they also hit half-drained tables.
 #[test]
-fn stash_entries_survive_repeated_doublings() {
+fn chain_triggered_doublings_lose_no_key() {
     let h = build(HartConfig {
         initial_buckets: 2,
         resize_threshold: 20,
@@ -295,31 +340,21 @@ fn stash_entries_survive_repeated_doublings() {
     });
     for kid in 0..N_KEYS {
         h.insert(&key_of(kid), &value_of(kid)).unwrap();
-        // Probe the key just inserted: a spilling insert displaces
-        // exactly this key into the stash, and reads never drain, so the
-        // probe must traverse home-miss → overflow bit → stash while the
+        // Reads never drain, so this probe may run while the
         // chain-triggered grow is still migrating.
         assert!(h.search(&key_of(kid)).unwrap().is_some(), "lost key {kid}");
-        // And an older key, so probes also run against half-drained
-        // tables.
         let back = key_of(kid / 2);
         assert!(h.search(&back).unwrap().is_some(), "lost key {}", kid / 2);
     }
     // Pigeonhole floor, independent of the random hash seed: 128 shards
-    // force a 17-chain (and hence a spill + chain-triggered grow) at both
-    // 2 and 4 buckets, since 128 > 16 * 4. Further doublings depend on
-    // seed balance, so only two are guaranteed.
+    // force a 17-chain (and hence a chain-triggered grow) at both 2 and 4
+    // buckets, since 128 > 16 * 4. Further doublings depend on seed
+    // balance, so only two are guaranteed.
     assert!(h.hash_resize_count() >= 2, "battery must force doublings");
     for kid in 0..N_KEYS {
         let v = h.search(&key_of(kid)).unwrap().expect("present at end");
         assert_eq!(decode(&v), Some(kid));
     }
-    let snap = h.obs_snapshot();
-    assert!(
-        snap.dir.stash_spills > 0,
-        "2 initial buckets under 128 prefixes must overflow the cap"
-    );
-    assert!(snap.dir.stash_probes > 0, "stash must have served probes");
     h.check_consistency().unwrap();
 }
 
